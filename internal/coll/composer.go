@@ -17,11 +17,10 @@ import (
 // hybrid context is the one-level stack of whichever shared-memory
 // level hosts its window.
 //
-// Geometry is discovered once with the plan-published pattern: every
-// member contributes its leader chain, comm rank 0 sorts the membership
-// into level order and publishes the shared tables (the helper that
-// hier.go, multileader.go and hybrid/ctx.go previously each re-derived
-// for the node level alone). Construction is untimed one-off setup.
+// Geometry is derived locally from the topology and the comm's rank
+// table (buildComposerGeom, one linear pass per tier), cached across
+// worlds and shared by all members through one SetupOnce plan; no
+// exchange runs. Construction is untimed one-off setup.
 type Composer struct {
 	comm  *mpi.Comm
 	level []int       // sim topology level indices, innermost first
@@ -49,117 +48,13 @@ type tierShape struct {
 	childN  []int
 }
 
-// compShape is the level-sorted geometry of one composer, computed by
-// comm rank 0 and shared read-only by every member.
+// compShape is the level-sorted geometry of one composer, shared
+// read-only by every member of every world with this shape.
 type compShape struct {
 	slotToRank []int
 	rankToSlot []int
 	smp        bool
 	tiers      []tierShape
-}
-
-// compEntry is one member's input to the geometry builder: its comm
-// rank, its rank within the innermost tier communicator, and per tier
-// it belongs to the *global* rank of that tier's leader (-1 when not a
-// member). The seed implementation exchanged these entries between all
-// members; they are fully derivable from the topology and the comm's
-// rank table, so the builder now synthesizes them locally (see
-// buildComposerGeom) and no exchange runs.
-type compEntry struct {
-	commRank int
-	sub0     int
-	leader   []int
-}
-
-// buildCompShape sorts the membership into level order — outermost
-// leader chain first, then position within the innermost group — and
-// derives the per-tier group tables. Group order at every tier is
-// leader-comm-rank order (bridge order), matching the historical
-// node-sorted global rank array of hybrid Sect. 6.
-func buildCompShape(ranks []int, tiers int, entries []compEntry) *compShape {
-	n := len(entries)
-	commOf := make(map[int]int, n) // global rank -> comm rank
-	for r, g := range ranks {
-		commOf[g] = r
-	}
-	byRank := make([]*compEntry, n)
-	for i := range entries {
-		byRank[entries[i].commRank] = &entries[i]
-	}
-	// chain[r*tiers+t]: comm rank of r's tier-t leader, resolved
-	// transitively (only tier members know their own leader).
-	chain := make([]int, n*tiers)
-	for r := 0; r < n; r++ {
-		lead := r
-		for t := 0; t < tiers; t++ {
-			g := byRank[lead].leader[t]
-			if g < 0 {
-				return nil
-			}
-			var ok bool
-			if lead, ok = commOf[g]; !ok {
-				return nil
-			}
-			chain[r*tiers+t] = lead
-		}
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		for t := tiers - 1; t >= 0; t-- {
-			if chain[a*tiers+t] != chain[b*tiers+t] {
-				return chain[a*tiers+t] < chain[b*tiers+t]
-			}
-		}
-		return byRank[a].sub0 < byRank[b].sub0
-	})
-
-	shape := &compShape{
-		slotToRank: make([]int, n),
-		rankToSlot: make([]int, n),
-		smp:        true,
-		tiers:      make([]tierShape, tiers),
-	}
-	for s, r := range order {
-		shape.slotToRank[s] = r
-		shape.rankToSlot[r] = s
-		if r != s {
-			shape.smp = false
-		}
-	}
-	// Group tables per tier: consecutive slot runs sharing the
-	// tier leader.
-	for t := 0; t < tiers; t++ {
-		ts := &shape.tiers[t]
-		lastLeader := -1
-		for s, r := range order {
-			if chain[r*tiers+t] != lastLeader {
-				ts.first = append(ts.first, s)
-				ts.size = append(ts.size, 0)
-				lastLeader = chain[r*tiers+t]
-			}
-			ts.size[len(ts.size)-1]++
-		}
-		if t > 0 {
-			below := &shape.tiers[t-1]
-			child := 0
-			for g := range ts.first {
-				ts.childLo = append(ts.childLo, child)
-				end := ts.first[g] + ts.size[g]
-				cnt := 0
-				for child < len(below.first) && below.first[child] < end {
-					child++
-					cnt++
-				}
-				ts.childN = append(ts.childN, cnt)
-			}
-		}
-	}
-	return shape
 }
 
 // NewComposer builds the leader tree over the given stack of topology
@@ -201,7 +96,7 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 		plan := &composerPlan{
 			geom:    geom,
 			tierCtx: make([][]int, len(levels)),
-			arena:   make([]mpi.Comm, geom.handles),
+			arena:   make([]mpi.Comm, geom.arenaLen(w.ExecRanks())),
 		}
 		for t := range geom.tierRanks {
 			plan.tierCtx[t] = make([]int, len(geom.tierRanks[t]))
@@ -224,6 +119,9 @@ func NewComposer(c *mpi.Comm, levels []int) (*Composer, error) {
 	// split-based construction produced.
 	me := c.Rank()
 	slot := geom.handleOff[me]
+	if int(geom.handleOff[me+1]) > len(plan.arena) {
+		return nil, fmt.Errorf("coll: composer rank %d (global %d) is outside the plan's %d executing ranks", me, c.Global(me), c.Proc().World().ExecRanks())
+	}
 	for t := range levels {
 		var sub *mpi.Comm
 		if gi := geom.tierGroup[t][me]; gi >= 0 {

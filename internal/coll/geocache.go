@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mpi"
@@ -31,8 +30,8 @@ type composerGeom struct {
 	tierGroup [][]int32 // tier -> comm rank -> tier group index (-1 non-member)
 	tierRank  [][]int32 // tier -> comm rank -> rank within tier comm (-1)
 	topRank   []int32   // comm rank -> rank within top comm (-1)
-	handleOff []int32   // comm rank -> first slot in the per-plan Comm arena
-	handles   int       // arena size: total comm handles across all ranks
+	handleOff []int32   // comm rank -> first slot in the per-plan Comm arena; [n] is the total
+	minFrom   []int32   // comm rank r -> lowest global rank among members[r:]
 }
 
 func (g *composerGeom) matches(topo *sim.Topology, members, levels []int) bool {
@@ -64,11 +63,12 @@ func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, 
 	h = sim.HashInts(h^0x9e3779b97f4a7c15, levels)
 	return composerGeomCache.GetOrBuild(h,
 		func(g *composerGeom) bool { return g.matches(topo, members, levels) },
-		func() (*composerGeom, error) { return buildComposerGeom(topo, members, levels) })
+		func() (*composerGeom, error) { return buildComposerGeom(topo, members, levels), nil })
 }
 
-// buildComposerGeom derives the full leader-tree geometry locally,
-// reproducing exactly what the seed's Split chain produced:
+// buildComposerGeom derives the full leader-tree geometry locally in
+// one linear pass per tier, reproducing exactly what the seed's Split
+// chain produced:
 //
 //   - tier-t groups in ascending topology-group-id order (the color
 //     sort of Split), members within a group in root-comm-rank order
@@ -76,10 +76,12 @@ func composerGeomFor(topo *sim.Topology, members, levels []int) (*composerGeom, 
 //   - tier t>0 members are the leaders (first member) of the tier-(t-1)
 //     groups; the top communicator joins the outermost leaders in
 //     ascending comm-rank order;
-//   - the slot order comes from the same entry sort the exchanged plan
-//     used (buildCompShape), so composed collectives stay op-for-op
-//     identical.
-func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom, error) {
+//   - the slot order is a walk down the leader tree: outermost leaders
+//     in ascending comm rank, then each group's child groups in member
+//     order, then innermost members in comm-rank order. That is the
+//     order the seed's sort of per-member leader chains produced, so
+//     composed collectives stay op-for-op identical.
+func buildComposerGeom(topo *sim.Topology, members, levels []int) *composerGeom {
 	n := len(members)
 	tiers := len(levels)
 	g := &composerGeom{
@@ -92,82 +94,95 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 	}
 
 	// parts: the comm ranks participating at the current tier, in
-	// ascending comm-rank order (everyone at tier 0, leaders above).
+	// ascending comm-rank order (everyone at tier 0, leaders above);
+	// globals: their global ranks. byGroup[t] lists tier t's members
+	// as comm ranks, group after group, delimited by starts[t].
 	parts := make([]int, n)
 	for r := range parts {
 		parts[r] = r
 	}
+	globals := members
+	byGroup := make([][]int, tiers)
+	starts := make([][]int, tiers)
 	for t := 0; t < tiers; t++ {
-		g.tierGroup[t] = make([]int32, n)
-		g.tierRank[t] = make([]int32, n)
-		for r := range g.tierGroup[t] {
-			g.tierGroup[t][r] = -1
-			g.tierRank[t][r] = -1
-		}
-		// Partition the participants by their level-l group, groups in
-		// ascending group-id order, members in comm-rank order.
-		byID := map[int][]int{}
-		ids := []int{}
-		for _, r := range parts {
-			id := topo.GroupOf(levels[t], members[r])
-			if _, seen := byID[id]; !seen {
-				ids = append(ids, id)
-			}
-			byID[id] = append(byID[id], r)
-		}
-		sort.Ints(ids)
-		g.tierRanks[t] = make([][]int, len(ids))
-		leaders := make([]int, 0, len(ids))
-		for gi, id := range ids {
-			grp := byID[id]
-			table := make([]int, len(grp))
-			for i, r := range grp {
+		order, st := topo.Partition(levels[t], globals)
+		byGroup[t], starts[t] = order, st
+		table := make([]int, len(order))
+		g.tierGroup[t] = filled(n)
+		g.tierRank[t] = filled(n)
+		g.tierRanks[t] = make([][]int, len(st)-1)
+		for gi := range g.tierRanks[t] {
+			lo, hi := st[gi], st[gi+1]
+			for i := lo; i < hi; i++ {
+				r := parts[order[i]]
+				order[i] = r
 				table[i] = members[r]
 				g.tierGroup[t][r] = int32(gi)
-				g.tierRank[t][r] = int32(i)
+				g.tierRank[t][r] = int32(i - lo)
 			}
-			g.tierRanks[t][gi] = table
-			leaders = append(leaders, grp[0])
+			g.tierRanks[t][gi] = table[lo:hi:hi]
 		}
-		sort.Ints(leaders)
-		parts = leaders
+		// The next tier's participants: this tier's group leaders, in
+		// ascending comm rank.
+		leaders := make([]int, 0, len(st)-1)
+		leaderGlobals := make([]int, 0, len(st)-1)
+		for _, r := range parts {
+			if g.tierRank[t][r] == 0 {
+				leaders = append(leaders, r)
+				leaderGlobals = append(leaderGlobals, members[r])
+			}
+		}
+		parts, globals = leaders, leaderGlobals
 	}
 
 	// Top communicator: the outermost leaders, ascending comm rank.
-	g.topRank = make([]int32, n)
-	for r := range g.topRank {
-		g.topRank[r] = -1
-	}
-	g.topRanks = make([]int, len(parts))
+	g.topRank = filled(n)
+	g.topRanks = globals
 	for i, r := range parts {
-		g.topRanks[i] = members[r]
 		g.topRank[r] = int32(i)
 	}
 
-	// Slot order: synthesize the per-member entries the exchanged plan
-	// carried (leader chain as global ranks) and run the same sort.
-	entries := make([]compEntry, n)
-	for r := 0; r < n; r++ {
-		e := &entries[r]
-		e.commRank = r
-		e.sub0 = int(g.tierRank[0][r])
-		e.leader = make([]int, tiers)
-		for t := 0; t < tiers; t++ {
-			e.leader[t] = -1
-			if gi := g.tierGroup[t][r]; gi >= 0 {
-				e.leader[t] = g.tierRanks[t][gi][0]
+	// Slot order: walk the leader tree from the top communicator down.
+	shape := &compShape{
+		slotToRank: make([]int, n),
+		rankToSlot: make([]int, n),
+		smp:        true,
+		tiers:      make([]tierShape, tiers),
+	}
+	slot := 0
+	var walk func(t, gi int)
+	walk = func(t, gi int) {
+		ts := &shape.tiers[t]
+		first := slot
+		grp := byGroup[t][starts[t][gi]:starts[t][gi+1]]
+		if t == 0 {
+			for _, r := range grp {
+				shape.slotToRank[slot] = r
+				shape.rankToSlot[r] = slot
+				shape.smp = shape.smp && r == slot
+				slot++
+			}
+		} else {
+			ts.childLo = append(ts.childLo, len(shape.tiers[t-1].first))
+			ts.childN = append(ts.childN, len(grp))
+			for _, r := range grp {
+				walk(t-1, int(g.tierGroup[t-1][r]))
 			}
 		}
+		ts.first = append(ts.first, first)
+		ts.size = append(ts.size, slot-first)
 	}
-	shape := buildCompShape(g.members, tiers, entries)
-	if shape == nil {
-		return nil, fmt.Errorf("coll: composer geometry derivation failed (unresolvable leader chain)")
+	for _, r := range parts {
+		walk(tiers-1, int(g.tierGroup[tiers-1][r]))
 	}
 	g.shape = shape
 
 	// Arena layout for the per-plan Comm handles: each rank owns a
-	// contiguous run of slots, one per communicator it belongs to.
-	g.handleOff = make([]int32, n)
+	// contiguous run of slots, one per communicator it belongs to, in
+	// comm-rank order. minFrom lets a plan size its arena to the prefix
+	// that holds every executing rank's run.
+	g.handleOff = make([]int32, n+1)
+	g.minFrom = make([]int32, n)
 	off := int32(0)
 	for r := 0; r < n; r++ {
 		g.handleOff[r] = off
@@ -180,8 +195,34 @@ func buildComposerGeom(topo *sim.Topology, members, levels []int) (*composerGeom
 			off++
 		}
 	}
-	g.handles = int(off)
-	return g, nil
+	g.handleOff[n] = off
+	low := int32(topo.Size())
+	for r := n - 1; r >= 0; r-- {
+		if m := int32(members[r]); m < low {
+			low = m
+		}
+		g.minFrom[r] = low
+	}
+	return g
+}
+
+// arenaLen is the number of handle slots a world whose global ranks
+// below exec execute needs: the runs of comm ranks up to the last
+// member that executes. With members in ascending global order, as in
+// the world communicator and its SplitLevel children, that is exactly
+// the executing members' handles.
+func (g *composerGeom) arenaLen(exec int) int {
+	k := sort.Search(len(g.minFrom), func(r int) bool { return int(g.minFrom[r]) >= exec })
+	return int(g.handleOff[k])
+}
+
+// filled returns n int32 entries set to -1 (no group, no rank).
+func filled(n int) []int32 {
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = -1
+	}
+	return v
 }
 
 // composerPlan is the per-world completion of a cached geometry: the
@@ -192,5 +233,5 @@ type composerPlan struct {
 	geom    *composerGeom
 	tierCtx [][]int // tier -> group -> context id
 	topCtx  int
-	arena   []mpi.Comm // per-rank handle storage, laid out by geom.handleOff
+	arena   []mpi.Comm // executing ranks' handle storage, laid out by geom.handleOff
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -146,29 +145,18 @@ func buildLevelShape(topo *sim.Topology, members []int, level int) *levelShape {
 		byComm:  make([]int32, n),
 		rankIn:  make([]int32, n),
 	}
-	// Dense remap of the (sorted) distinct group ids. Group ids of
-	// consecutive members are non-decreasing under SMP placement, but
-	// arbitrary parent memberships are allowed, so count per id first.
-	counts := make(map[int]int, 16)
-	for _, g := range members {
-		counts[topo.GroupOf(level, g)]++
-	}
-	ids := make([]int, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	idx := make(map[int]int32, len(ids))
-	s.groups = make([][]int, len(ids))
-	for gi, id := range ids {
-		idx[id] = int32(gi)
-		s.groups[gi] = make([]int, 0, counts[id])
-	}
-	for r, g := range members {
-		gi := idx[topo.GroupOf(level, g)]
-		s.byComm[r] = gi
-		s.rankIn[r] = int32(len(s.groups[gi]))
-		s.groups[gi] = append(s.groups[gi], g)
+	order, starts := topo.Partition(level, members)
+	table := make([]int, n)
+	s.groups = make([][]int, len(starts)-1)
+	for gi := range s.groups {
+		lo, hi := starts[gi], starts[gi+1]
+		for i := lo; i < hi; i++ {
+			r := order[i]
+			table[i] = members[r]
+			s.byComm[r] = int32(gi)
+			s.rankIn[r] = int32(i - lo)
+		}
+		s.groups[gi] = table[lo:hi:hi]
 	}
 	return s
 }

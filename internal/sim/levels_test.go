@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestHierTopologyShape(t *testing.T) {
 	// 2 groups ⊃ 2 nodes each ⊃ 2 sockets each ⊃ 3 ranks: 24 ranks.
@@ -82,6 +85,34 @@ func TestHierTopologyIrregular(t *testing.T) {
 	}
 	if topo.Hop(0, 3) != HopShm || topo.Hop(0, 2) != HopSocket {
 		t.Errorf("irregular hop classes wrong: %v %v", topo.Hop(0, 3), topo.Hop(0, 2))
+	}
+}
+
+// TestTopologyPartition pins the Split-compatible grouping: groups in
+// ascending group id (empty ones skipped), members in their input
+// order, on an irregular level and an unsorted rank list.
+func TestTopologyPartition(t *testing.T) {
+	topo, err := NewHierTopology([]LevelSpec{
+		{Name: "socket", Sizes: []int{3, 1, 2, 2, 1}},
+		{Name: "node", Sizes: []int{4, 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := []int{8, 5, 0, 6, 4, 2}
+	order, starts := topo.Partition(0, ranks)
+	if want := []int{2, 5, 1, 4, 3, 0}; !slices.Equal(order, want) {
+		t.Errorf("socket order %v, want %v", order, want)
+	}
+	if want := []int{0, 2, 4, 5, 6}; !slices.Equal(starts, want) {
+		t.Errorf("socket starts %v, want %v", starts, want)
+	}
+	order, starts = topo.Partition(1, ranks)
+	if want := []int{2, 5, 0, 1, 3, 4}; !slices.Equal(order, want) {
+		t.Errorf("node order %v, want %v", order, want)
+	}
+	if want := []int{0, 2, 6}; !slices.Equal(starts, want) {
+		t.Errorf("node starts %v, want %v", starts, want)
 	}
 }
 

@@ -70,23 +70,29 @@ func autoClass(name string, insideNode bool) HopClass {
 
 // buildLevel materializes the per-rank tables of one level.
 func buildLevel(name string, class HopClass, sizes []int) (level, int, error) {
-	l := level{
-		name:  name,
-		class: class,
-		sizes: append([]int(nil), sizes...),
-		base:  make([]int, len(sizes)),
-	}
 	total := 0
 	for g, sz := range sizes {
 		if sz <= 0 {
 			return level{}, 0, fmt.Errorf("sim: %s group %d has %d ranks; every group needs at least one", name, g, sz)
 		}
-		l.base[g] = total
-		for local := 0; local < sz; local++ {
-			l.group = append(l.group, g)
-			l.local = append(l.local, local)
-		}
 		total += sz
+	}
+	l := level{
+		name:  name,
+		class: class,
+		sizes: append([]int(nil), sizes...),
+		base:  make([]int, len(sizes)),
+		group: make([]int, total),
+		local: make([]int, total),
+	}
+	rank := 0
+	for g, sz := range sizes {
+		l.base[g] = rank
+		for local := 0; local < sz; local++ {
+			l.group[rank] = g
+			l.local[rank] = local
+			rank++
+		}
 	}
 	return l, total, nil
 }
@@ -393,6 +399,35 @@ func (t *Topology) Groups(l int) int { return len(t.levels[l].sizes) }
 
 // GroupOf returns the level-l group hosting a global rank.
 func (t *Topology) GroupOf(l, rank int) int { return t.levels[l].group[rank] }
+
+// Partition groups ranks (distinct global ranks, in any order) by
+// their level-l group the way a color-sorted Split does: groups in
+// ascending group id, members of a group in their order in ranks. It
+// returns the positions into ranks concatenated group by group, and
+// the start of each non-empty group in that list followed by
+// len(ranks). Group ids are dense, so one counting pass replaces the
+// sort.
+func (t *Topology) Partition(l int, ranks []int) (order, starts []int) {
+	group := t.levels[l].group
+	next := make([]int, len(t.levels[l].sizes)+1) // group -> next free position
+	for _, r := range ranks {
+		next[group[r]+1]++
+	}
+	for g := 1; g < len(next); g++ {
+		if next[g] > 0 { // group g-1 is non-empty and starts at next[g-1]
+			starts = append(starts, next[g-1])
+		}
+		next[g] += next[g-1]
+	}
+	starts = append(starts, len(ranks))
+	order = make([]int, len(ranks))
+	for i, r := range ranks {
+		g := group[r]
+		order[next[g]] = i
+		next[g]++
+	}
+	return order, starts
+}
 
 // GroupSize returns the number of ranks in level-l group g.
 func (t *Topology) GroupSize(l, g int) int { return t.levels[l].sizes[g] }
