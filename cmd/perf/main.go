@@ -17,9 +17,9 @@
 // file (-spec) or assembled from flags (-collective, -shape, -sizes,
 // -iters, -fold plus the shared -machine, -engine, -tuning) — and
 // prints the spec.Result as JSON. The same Query posted to cmd/serverd
-// returns a bit-identical result; with -engine both, query mode runs
-// both execution backends and fails unless their virtual times agree
-// exactly.
+// returns a bit-identical result; with -engine both, query mode has the
+// bench referee run both execution backends and fails, naming the path
+// and the size, unless their virtual times agree exactly.
 //
 // With -baseline, the old report's numbers are embedded alongside the
 // new ones and per-case ns/op speedups are computed. With -check, the
@@ -33,12 +33,16 @@
 //	coll     the collective selection engine's algorithm choices and
 //	         crossover points per message size
 //	topo     the multi-level topology dimension (levels x ppn)
-//	scale    the scale-out dimension: size-only allgather/allreduce up
-//	         to -scalemax ranks, recording ns/op, peak goroutines,
-//	         peak RSS
+//	scale    the scale-out dimension: size-only allgather/allreduce
+//	         spec.Queries up to -scalemax ranks on the -engine
+//	         backends, recording ns/op and exact virtual times, with
+//	         the engines refereed bit-identical
 //	stencil  the process-topology dimension: 4-dim grid halo exchanges
 //	         (CartCreate + NeighborAlltoall) per halo width up to
 //	         -scalemax ranks
+//	noise    the robustness dimension: an allreduce ladder under seeded
+//	         congestion, jitter and stragglers (-noiseseed), refereed
+//	         across engines and world-reuse paths
 //	tuned    the measured-selection dimension: a congested allreduce
 //	         ladder under the table, cost and measured tuning policies,
 //	         with the tuning store's persistence round trip and the
@@ -50,6 +54,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -71,7 +76,7 @@ func main() {
 	check := flag.Bool("check", false, "fail (exit 1) on regression vs -baseline")
 	maxSlow := flag.Float64("maxslow", 3.0, "-check: max allowed ns/op slowdown factor")
 	allocSlack := flag.Float64("allocslack", 1.10, "-check: allocs/op ceiling factor over baseline")
-	sweep := flag.String("sweep", "", "extra sweep dimensions: coll,topo,scale,stencil,service,noise,tuned or all")
+	sweep := flag.String("sweep", "", "extra sweep dimensions: coll,topo,scale,stencil,noise,tuned or all")
 	scaleMax := flag.Int("scalemax", 65536, "scale sweep: largest rank count to run")
 	noiseSeed := flag.Int64("noiseseed", 42, "noise sweep: seed keying every noisy level")
 	engineSpec := flag.String("engine", "both",
@@ -127,15 +132,14 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatal(err)
 		}
-		// fatal() and the -check exit both flush through stopCPUProfile:
-		// a deferred stop would be skipped by os.Exit, truncating the
-		// profile exactly when a regression is being investigated.
-		stopCPUProfile = func() {
+		// fatal() flushes through stopCPUProfile too: a deferred stop
+		// would be skipped by os.Exit, truncating the profile exactly
+		// when a regression is being investigated.
+		stopCPUProfile = func() error {
+			stopCPUProfile = func() error { return nil }
 			pprof.StopCPUProfile()
-			f.Close()
-			stopCPUProfile = func() {}
+			return f.Close()
 		}
-		defer stopCPUProfile()
 	}
 
 	rep, err := run(re, baseline)
@@ -171,7 +175,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if rep.ScaleSweep, err = bench.RunScaleSweep(mk(), *scaleMax, engines); err != nil {
+			if rep.ScaleSweep, err = bench.RunScaleSweep(*machine, *scaleMax, engines); err != nil {
 				fatal(err)
 			}
 			printScaleSweep(rep.ScaleSweep)
@@ -181,12 +185,6 @@ func main() {
 				fatal(err)
 			}
 			printStencilSweep(rep.StencilSweep)
-		}
-		if dims["service"] {
-			if rep.ServiceSweep, err = bench.RunServiceSweep(*machine, 0); err != nil {
-				fatal(err)
-			}
-			printServiceSweep(rep.ServiceSweep)
 		}
 		if dims["noise"] {
 			if rep.NoiseSweep, err = bench.RunNoiseSweep(*machine, *noiseSeed); err != nil {
@@ -215,10 +213,9 @@ func main() {
 			fatal(err)
 		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
 			fatal(err)
 		}
-		f.Close()
 	}
 
 	if *check {
@@ -226,19 +223,21 @@ func main() {
 			for _, v := range violations {
 				fmt.Fprintln(os.Stderr, "perf regression:", v)
 			}
-			stopCPUProfile()
-			os.Exit(1)
+			fatal(fmt.Errorf("%d regressions vs %s", len(violations), *baselinePath))
 		}
 		fmt.Printf("perf check passed vs %s (max slowdown %.1fx, alloc slack %.2fx)\n",
 			*baselinePath, *maxSlow, *allocSlack)
+	}
+	if err := stopCPUProfile(); err != nil {
+		fatal(err)
 	}
 }
 
 // runQueryMode executes one declarative spec.Query — loaded from
 // specPath, or assembled from the query-mode flags — and prints the
 // spec.Result as indented JSON (to out when given, stdout otherwise).
-// A flag-built query with engine "both" runs on both backends and
-// fails unless every point's virtual time is bit-identical.
+// A flag-built query with engine "both" is refereed on both backends
+// and fails unless every point's virtual time is bit-identical.
 func runQueryMode(specPath, collective, shape, sizesSpec, machine, engineSpec, tuningSpec, fold string, iters int, out string) error {
 	var q *spec.Query
 	if specPath != "" {
@@ -258,24 +257,19 @@ func runQueryMode(specPath, collective, shape, sizesSpec, machine, engineSpec, t
 			return err
 		}
 		if engineSpec == "both" {
-			// Cross-engine check: the event backend must reproduce the
-			// goroutine backend's virtual times exactly.
-			alt := *q
-			alt.Sizes = append([]int(nil), q.Sizes...)
-			alt.Engine = sim.EngineEvent.String()
-			q.Engine = sim.EngineGoroutine.String()
-			res, altRes, err := runBoth(q, &alt)
+			// The event backend must reproduce the goroutine backend's
+			// virtual times exactly.
+			v, err := bench.Referee(q,
+				bench.Path{Name: "goroutine", Engine: "goroutine"},
+				bench.Path{Name: "event", Engine: "event"})
 			if err != nil {
 				return err
 			}
-			for i := range res.Points {
-				if res.Points[i].VirtualPs != altRes.Points[i].VirtualPs {
-					return fmt.Errorf("engines disagree at %d B: goroutine %d ps, event %d ps",
-						res.Points[i].Bytes, res.Points[i].VirtualPs, altRes.Points[i].VirtualPs)
-				}
+			if err := v.Err(); err != nil {
+				return err
 			}
 			fmt.Fprintln(os.Stderr, "engines agree bit-identically")
-			return printResult(res, out)
+			return printResult(v.Runs[0].Result, out)
 		}
 	}
 	res, err := spec.Run(q)
@@ -283,19 +277,6 @@ func runQueryMode(specPath, collective, shape, sizesSpec, machine, engineSpec, t
 		return err
 	}
 	return printResult(res, out)
-}
-
-// runBoth executes the two engine variants of one query.
-func runBoth(a, b *spec.Query) (*spec.Result, *spec.Result, error) {
-	ra, err := spec.Run(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	rb, err := spec.Run(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ra, rb, nil
 }
 
 // queryFromFlags assembles a Query from the query-mode flag surface.
@@ -365,14 +346,14 @@ func parseSweep(spec string) (map[string]bool, error) {
 		return dims, nil
 	}
 	if spec == "all" {
-		return map[string]bool{"coll": true, "topo": true, "scale": true, "stencil": true, "service": true, "noise": true, "tuned": true}, nil
+		return map[string]bool{"coll": true, "topo": true, "scale": true, "stencil": true, "noise": true, "tuned": true}, nil
 	}
 	for _, d := range strings.Split(spec, ",") {
 		switch d = strings.TrimSpace(d); d {
-		case "coll", "topo", "scale", "stencil", "service", "noise", "tuned":
+		case "coll", "topo", "scale", "stencil", "noise", "tuned":
 			dims[d] = true
 		default:
-			return nil, fmt.Errorf("unknown sweep dimension %q (want coll, topo, scale, stencil, service, noise, tuned or all)", d)
+			return nil, fmt.Errorf("unknown sweep dimension %q (want coll, topo, scale, stencil, noise, tuned or all)", d)
 		}
 	}
 	return dims, nil
@@ -445,9 +426,8 @@ func printScaleSweep(s *bench.ScaleSweepReport) {
 		if p.FoldUnit > 0 {
 			fold = fmt.Sprintf(" fold %d", p.FoldUnit)
 		}
-		fmt.Printf("  %-10s %5dx%-3d %7d ranks %-9s %10.1f ms/op  peakG %7d  peakRSS %5.0f MiB  virtual %10.2f us%s\n",
-			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.NsPerOp/1e6, p.PeakGoroutines,
-			float64(p.PeakRSSBytes)/(1<<20), p.VirtualUs, fold)
+		fmt.Printf("  %-10s %5dx%-3d %7d ranks %-9s %10.1f ms/op  virtual %10.2f us%s\n",
+			p.Coll, p.Nodes, p.PPN, p.Ranks, p.Engine, p.NsPerOp/1e6, p.VirtualUs, fold)
 	}
 }
 
@@ -456,23 +436,6 @@ func printStencilSweep(s *bench.StencilSweepReport) {
 	for _, p := range s.Points {
 		fmt.Printf("  %-12s %7d ranks  halo %4dB %10.1f ms/op  setup %7.0f ms  peakG %7d  virtual %10.2f us\n",
 			p.Dims, p.Ranks, p.HaloBytes, p.NsPerOp/1e6, p.SetupNs/1e6, p.PeakGoroutines, p.VirtualUs)
-	}
-}
-
-func printServiceSweep(s *bench.ServiceSweepReport) {
-	fmt.Printf("\nservice-sweep (%s, %d unique queries, cache hit ratio %.3f, coalesced %d, cli/http bit-identical %v):\n",
-		s.Machine, s.UniqueQueries, s.CacheHitRatio, s.Coalesced, s.BitIdentical)
-	for _, p := range s.Points {
-		fmt.Printf("  %3d clients %7d reqs %10.0f qps  p50 %7.0f us  p99 %7.0f us\n",
-			p.Clients, p.Requests, p.QPS, p.P50Us, p.P99Us)
-	}
-	if c := s.ColdShape; c != nil {
-		fmt.Printf("  cold shape %s (%d distinct queries, pool hit ratio %.3f, pooled/cold bit-identical %v):\n",
-			c.Shape, c.Queries, c.PoolHitRatio, c.BitIdentical)
-		fmt.Printf("    point p50: pooled %7.0f us  per-point %7.0f us  speedup %.2fx\n",
-			c.PooledP50Us, c.PerPointP50Us, c.P50Speedup)
-		fmt.Printf("    %2d-size sweep: pooled %7.1f ms  per-point %7.1f ms  speedup %.2fx\n",
-			c.SweepSizes, c.PooledSweepMs, c.PerPointSweepMs, c.SweepSpeedup)
 	}
 }
 
@@ -498,12 +461,15 @@ func printTunedSweep(s *bench.TunedSweepReport) {
 	}
 }
 
-// stopCPUProfile flushes the CPU profile (no-op until -cpuprofile
-// installs the real one); every os.Exit path must call it.
-var stopCPUProfile = func() {}
+// stopCPUProfile flushes and closes the CPU profile (no-op until
+// -cpuprofile installs the real one, and after the first call); every
+// exit path must call it and report its error.
+var stopCPUProfile = func() error { return nil }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "perf:", err)
-	stopCPUProfile()
+	if err := stopCPUProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, "perf:", err)
+	}
 	os.Exit(1)
 }

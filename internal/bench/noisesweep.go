@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -12,11 +11,12 @@ import (
 // same collective ladder simulated under a ladder of deterministic
 // noise configurations — link congestion, seeded jitter, straggler
 // ranks and their combination — reporting how far each level stretches
-// the virtual makespan over the clean run. Every level is executed
-// four ways (goroutine engine warm, event engine warm, per-point
-// referee worlds, pooled worlds with a warm re-run) and the point is
-// only marked bit-identical when all of them agree exactly: the sweep
-// doubles as the determinism gate for the noise subsystem.
+// the virtual makespan over the clean run. Every level is one
+// spec.Query refereed across five paths (goroutine engine warm, event
+// engine warm, per-point worlds, pooled worlds and a warm pooled
+// re-run) and a point is only marked bit-identical when all of them
+// agree exactly: the sweep doubles as the determinism gate for the
+// noise subsystem.
 
 // NoisePoint is one (noise level, ladder size) measurement.
 type NoisePoint struct {
@@ -79,8 +79,7 @@ var noiseSweepSizes = []int{4096, 262144}
 
 // RunNoiseSweep measures the noise dimension on the given machine
 // profile: an 8x8 allreduce ladder per noise level, each level
-// executed across both engines and all three world-reuse paths and
-// cross-checked for exact agreement.
+// refereed across both engines and all three world-reuse paths.
 func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 	const nodes, ppn, iters = 8, 8, 2
 	rep := &NoiseSweepReport{
@@ -90,61 +89,25 @@ func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 	}
 	pool := spec.NewWorldPool(spec.PoolConfig{})
 	defer pool.Close()
+	paths := worldReusePaths(pool, nil)
 	start := time.Now()
 
 	clean := map[int]int64{} // bytes -> clean VirtualPs
 	for _, lvl := range noiseLevels(seed) {
-		mkQuery := func(engine string) *spec.Query {
-			return &spec.Query{
-				Machine:    machine,
-				Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
-				Collective: "allreduce",
-				Sizes:      append([]int(nil), noiseSweepSizes...),
-				Iters:      iters,
-				Engine:     engine,
-				Noise:      cloneSpecNoise(lvl.noise),
-				Tuning:     spec.Tuning{Policy: "cost"},
-			}
-		}
-		// The reference timeline: goroutine engine, warm world within
-		// the ladder group.
-		ref, err := spec.Run(mkQuery("goroutine"))
+		v, err := Referee(&spec.Query{
+			Machine:    machine,
+			Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
+			Collective: "allreduce",
+			Sizes:      noiseSweepSizes,
+			Iters:      iters,
+			Noise:      lvl.noise,
+			Tuning:     spec.Tuning{Policy: "cost"},
+		}, paths...)
 		if err != nil {
 			return nil, fmt.Errorf("bench: noise sweep %q: %w", lvl.label, err)
 		}
-		// Challengers: the event engine, the per-point referee path, and
-		// a pooled execution run twice so the second pass replays on a
-		// warm checked-in world.
-		challengers := []*spec.Result{}
-		ev, err := spec.Run(mkQuery("event"))
-		if err != nil {
-			return nil, fmt.Errorf("bench: noise sweep %q (event): %w", lvl.label, err)
-		}
-		challengers = append(challengers, ev)
-		perPoint, err := (&spec.Exec{PerPointWorlds: true}).RunContext(context.Background(), mkQuery("goroutine"))
-		if err != nil {
-			return nil, fmt.Errorf("bench: noise sweep %q (per-point): %w", lvl.label, err)
-		}
-		challengers = append(challengers, perPoint)
-		pooled := &spec.Exec{Pool: pool}
-		for pass := 0; pass < 2; pass++ {
-			res, err := pooled.RunContext(context.Background(), mkQuery("goroutine"))
-			if err != nil {
-				return nil, fmt.Errorf("bench: noise sweep %q (pooled pass %d): %w", lvl.label, pass, err)
-			}
-			challengers = append(challengers, res)
-		}
-
-		for i, p := range ref.Points {
-			identical := true
-			for _, ch := range challengers {
-				if ch.Points[i].VirtualPs != p.VirtualPs {
-					identical = false
-				}
-			}
-			if !identical {
-				rep.BitIdentical = false
-			}
+		for i, p := range v.Runs[0].Result.Points {
+			rep.BitIdentical = rep.BitIdentical && v.Agree[i]
 			if lvl.noise == nil {
 				clean[p.Bytes] = p.VirtualPs
 			}
@@ -155,28 +118,10 @@ func RunNoiseSweep(machine string, seed int64) (*NoiseSweepReport, error) {
 			rep.Points = append(rep.Points, NoisePoint{
 				Label: lvl.label, Bytes: p.Bytes,
 				VirtualPs: p.VirtualPs, VirtualUs: float64(p.VirtualPs) / 1e6,
-				SlowdownVsClean: slowdown, BitIdentical: identical,
+				SlowdownVsClean: slowdown, BitIdentical: v.Agree[i],
 			})
 		}
 	}
 	rep.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	return rep, nil
-}
-
-// cloneSpecNoise deep-copies a noise block so each execution
-// canonicalizes its own query without sharing slices or maps.
-func cloneSpecNoise(n *spec.Noise) *spec.Noise {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	c.Stragglers = append([]int(nil), n.Stragglers...)
-	c.Failures = append([]spec.Failure(nil), n.Failures...)
-	if n.Congestion != nil {
-		c.Congestion = make(map[string]float64, len(n.Congestion))
-		for k, v := range n.Congestion {
-			c.Congestion[k] = v
-		}
-	}
-	return &c
 }

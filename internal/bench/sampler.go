@@ -9,7 +9,7 @@ import (
 
 // goroutineSampler polls the process goroutine count in the background
 // and keeps the high-water mark — the "how many parked rank workers did
-// this workload really hold" column of the wall-clock and scale
+// this workload really hold" column of the wall-clock and stencil
 // reports.
 type goroutineSampler struct {
 	max  atomic.Int64

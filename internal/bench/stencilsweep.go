@@ -32,7 +32,6 @@ type StencilPoint struct {
 	SetupNs        float64 `json:"setup_ns"`        // world + grid construction (per shape)
 	VirtualUs      float64 `json:"virtual_us"`      // per-op virtual makespan (determinism anchor)
 	PeakGoroutines int     `json:"peak_goroutines"` // sampled during the point
-	PeakRSSBytes   int64   `json:"peak_rss_bytes"`  // process high-water mark after the point
 }
 
 // StencilSweepReport is the stencil section of a BENCH_*.json document.
@@ -134,9 +133,9 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 	var pts []StencilPoint
 	for _, halo := range stencilHaloBytes {
 		w.ResetClocks()
-		// One sampler per point, like the scale sweep, so each
-		// point's peak reflects its own run rather than the shape's
-		// construction high-water mark.
+		// One sampler per point, so each point's peak reflects its
+		// own run rather than the shape's construction high-water
+		// mark.
 		sampler := newGoroutineSampler()
 		opStart := time.Now()
 		err := w.Run(func(p *mpi.Proc) error {
@@ -163,7 +162,6 @@ func runStencilShape(model *sim.CostModel, shape stencilShape) ([]StencilPoint, 
 			SetupNs:        float64(setup.Nanoseconds()),
 			VirtualUs:      (w.MaxClock() / sim.Time(iters)).Us(),
 			PeakGoroutines: sampler.peak(),
-			PeakRSSBytes:   peakRSSBytes(),
 		})
 	}
 	w.Close()    // idempotent; the deferred Close covers error paths

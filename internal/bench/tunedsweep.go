@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -15,15 +14,15 @@ import (
 // The tuned sweep is the measured-selection dimension of cmd/perf
 // -sweep: a congested allreduce ladder executed under all three tuning
 // policies — the paper's static table, the LogGP cost prior, and the
-// PR 10 measured policy backed by the persisted tuning store. The cost
+// measured policy backed by the persisted tuning store. The cost
 // model prices a clean network, so under link congestion its
 // recdbl/rabenseifner crossover sits below where the measured race
 // puts it; the ladder deliberately straddles both crossovers so the
 // report shows the measured policy strictly beating the cost policy's
 // pick on the points between them. The full store lifecycle is in the
-// loop (cold measure -> save -> reload -> warm serve), and every warm
-// point is executed across both engines and all world-reuse paths plus
-// a full rerun: the sweep doubles as the determinism gate for the
+// loop (cold measure -> save -> reload -> warm serve), and the warm
+// query is refereed across both engines, all world-reuse paths and a
+// full rerun: the sweep doubles as the determinism gate for the
 // measured policy.
 
 // TunedPoint is one ladder size measured under all three policies.
@@ -104,46 +103,43 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 		Seed: seed, CongestionNet: tunedCongestionNet,
 		BitIdentical: true,
 	}
-	mkQuery := func(policy, engine string) *spec.Query {
+	mkQuery := func(policy string) *spec.Query {
 		return &spec.Query{
 			Machine:    machine,
 			Topology:   spec.Topology{Nodes: nodes, PPN: ppn},
 			Collective: "allreduce",
-			Sizes:      append([]int(nil), tunedSweepSizes...),
+			Sizes:      tunedSweepSizes,
 			Iters:      iters,
-			Engine:     engine,
 			Noise:      &spec.Noise{Seed: seed, Congestion: map[string]float64{"net": tunedCongestionNet}},
 			Tuning:     spec.Tuning{Policy: policy},
 		}
 	}
 	start := time.Now()
 
-	table, err := spec.Run(mkQuery("table", ""))
+	table, err := spec.Run(mkQuery("table"))
 	if err != nil {
 		return nil, fmt.Errorf("bench: tuned sweep (table): %w", err)
-	}
-	cost, err := spec.Run(mkQuery("cost", ""))
-	if err != nil {
-		return nil, fmt.Errorf("bench: tuned sweep (cost): %w", err)
 	}
 
 	// Cold pass: an empty store means every selection falls back to
 	// the cost prior (the never-block contract) while the tuner races
-	// the candidates in the background.
+	// the candidates in the background. The reference path has no
+	// tuner at all, which makes the measured policy exactly the cost
+	// policy, so its timeline is the report's cost column.
 	store := tune.NewStore()
 	tuner := spec.NewTuner(store)
-	cold, err := (&spec.Exec{Tuner: tuner}).RunContext(context.Background(), mkQuery("measured", ""))
+	cold, err := Referee(mkQuery("measured"),
+		Path{Name: "cost"}, Path{Name: "cold-store", Exec: &spec.Exec{Tuner: tuner}})
+	if err == nil {
+		if err = cold.Err(); err != nil {
+			err = fmt.Errorf("pending measurements must serve the cost pick: %w", err)
+		}
+	}
 	if err != nil {
 		tuner.Close()
 		return nil, fmt.Errorf("bench: tuned sweep (cold measured): %w", err)
 	}
-	for i := range cost.Points {
-		if cold.Points[i].VirtualPs != cost.Points[i].VirtualPs {
-			tuner.Close()
-			return nil, fmt.Errorf("bench: tuned sweep: cold measured run diverged from cost at %d B (%d vs %d ps) — pending measurements must serve the cost pick",
-				cost.Points[i].Bytes, cold.Points[i].VirtualPs, cost.Points[i].VirtualPs)
-		}
-	}
+	cost := cold.Runs[0].Result
 	tuner.Drain()
 	tuner.Close()
 	if n := tuner.Errors(); n != 0 {
@@ -172,34 +168,16 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	}
 	warmTuner := spec.NewTuner(reloaded)
 	defer warmTuner.Close()
-	warm := &spec.Exec{Tuner: warmTuner}
 
-	// Reference timeline plus challengers: the event engine, the
-	// per-point referee, a pooled pair (second pass replays on a warm
-	// world) and a full rerun of the reference.
-	ref, err := warm.RunContext(context.Background(), mkQuery("measured", "goroutine"))
-	if err != nil {
-		return nil, fmt.Errorf("bench: tuned sweep (warm): %w", err)
-	}
+	// Warm pass: every world-reuse path plus a full rerun of the
+	// reference, all serving from the reloaded store.
 	pool := spec.NewWorldPool(spec.PoolConfig{})
 	defer pool.Close()
-	var challengers []*spec.Result
-	for _, ch := range []struct {
-		label string
-		exec  *spec.Exec
-		query *spec.Query
-	}{
-		{"event", warm, mkQuery("measured", "event")},
-		{"per-point", &spec.Exec{PerPointWorlds: true, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"pooled", &spec.Exec{Pool: pool, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"pooled-warm", &spec.Exec{Pool: pool, Tuner: warmTuner}, mkQuery("measured", "goroutine")},
-		{"rerun", warm, mkQuery("measured", "goroutine")},
-	} {
-		res, err := ch.exec.RunContext(context.Background(), ch.query)
-		if err != nil {
-			return nil, fmt.Errorf("bench: tuned sweep (%s): %w", ch.label, err)
-		}
-		challengers = append(challengers, res)
+	paths := worldReusePaths(pool, warmTuner)
+	paths = append(paths, Path{Name: "rerun", Exec: paths[0].Exec})
+	warm, err := Referee(mkQuery("measured"), paths...)
+	if err != nil {
+		return nil, fmt.Errorf("bench: tuned sweep (warm): %w", err)
 	}
 	if st := reloaded.Stats(); st.Hits == 0 {
 		return nil, fmt.Errorf("bench: tuned sweep: warm runs never hit the store")
@@ -219,16 +197,8 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 	st := store.Stats()
 	rep.StoreEntries = st.Entries
 	rep.Measurements = st.Measured
-	for i, p := range ref.Points {
-		identical := true
-		for _, ch := range challengers {
-			if ch.Points[i].VirtualPs != p.VirtualPs {
-				identical = false
-			}
-		}
-		if !identical {
-			rep.BitIdentical = false
-		}
+	for i, p := range warm.Runs[0].Result.Points {
+		rep.BitIdentical = rep.BitIdentical && warm.Agree[i]
 		costPick, err := coll.Choose(coll.CollAllreduce,
 			coll.Env{Size: nodes * ppn, Bytes: p.Bytes, Count: p.Bytes / 8, Model: model, Hop: sim.HopNet},
 			coll.Tuning{Policy: coll.PolicyCost})
@@ -247,7 +217,7 @@ func RunTunedSweep(machine string, seed int64) (*TunedSweepReport, error) {
 			CostPick:          costPick,
 			MeasuredPick:      measuredPicks[p.Bytes],
 			MeasuredBeatsCost: beats,
-			BitIdentical:      identical,
+			BitIdentical:      warm.Agree[i],
 		})
 	}
 	rep.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6

@@ -58,18 +58,14 @@ type WallReport struct {
 	// and hybrid allgather virtual times plus priced compositions per
 	// level stack and ppn (cmd/perf -sweep).
 	TopoSweep *TopoSweepReport `json:"topo_sweep,omitempty"`
-	// ScaleSweep records the scale-out dimension: wall ns/op, peak
-	// goroutines and peak RSS of size-only collectives up to 65,536
-	// ranks (cmd/perf -sweep scale).
+	// ScaleSweep records the scale-out dimension: wall ns/op and
+	// exact virtual makespans of size-only collectives up to
+	// 1,048,576 ranks, per engine (cmd/perf -sweep scale).
 	ScaleSweep *ScaleSweepReport `json:"scale_sweep,omitempty"`
 	// StencilSweep records the process-topology dimension: 4-dim
 	// grid halo exchanges per halo width up to 65,536 ranks
 	// (cmd/perf -sweep stencil).
 	StencilSweep *StencilSweepReport `json:"stencil_sweep,omitempty"`
-	// ServiceSweep records the simulation-as-a-service dimension:
-	// warm-cache throughput and latency of the what-if daemon
-	// (cmd/perf -sweep service).
-	ServiceSweep *ServiceSweepReport `json:"service_sweep,omitempty"`
 	// NoiseSweep records the robustness dimension: virtual-time
 	// slowdown per deterministic noise level, cross-checked for exact
 	// agreement across engines and world-reuse paths
@@ -310,155 +306,139 @@ func (rep *WallReport) CheckAgainst(baseline *WallReport, maxSlowdown, allocSlac
 				r.Name, r.AllocsPerOp, ceiling, b.AllocsPerOp))
 		}
 	}
-	// The topology dimension is part of the gate: once a baseline
-	// carries a topo sweep, every checked build must produce one, and
-	// virtual times are deterministic so they must match exactly.
-	if baseline.TopoSweep != nil {
-		if rep.TopoSweep == nil || len(rep.TopoSweep.Points) == 0 {
-			violations = append(violations, "topology sweep missing (baseline has one; run with -sweep)")
-		} else {
-			topoKey := func(p TopoPoint) string {
-				return fmt.Sprintf("%s/%dx%d/%dB", p.Stack, p.Nodes, p.PPN, p.Bytes)
-			}
-			current := map[string]TopoPoint{}
-			for _, p := range rep.TopoSweep.Points {
-				current[topoKey(p)] = p
-			}
-			// Every baseline point must still exist and match exactly;
-			// a vanished point is a sweep-shape drift the gate must
-			// surface, not silently skip.
-			for _, b := range baseline.TopoSweep.Points {
-				key := topoKey(b)
-				p, ok := current[key]
-				if !ok {
-					violations = append(violations, fmt.Sprintf(
-						"topo %s: baseline point missing from the current sweep", key))
-					continue
-				}
-				if p.HierUs != b.HierUs || p.HybridUs != b.HybridUs {
-					violations = append(violations, fmt.Sprintf(
-						"topo %s: virtual time moved (hier %.2f -> %.2f us, hybrid %.2f -> %.2f us)",
-						key, b.HierUs, p.HierUs, b.HybridUs, p.HybridUs))
-				}
-			}
+	// The virtual-time dimensions: once a baseline carries a sweep,
+	// every checked build must produce one, and its pinned virtual
+	// times must match exactly — all of them for topo, the
+	// intersection for the -scalemax-capped stencil ladder, and for
+	// the seeded noise and tuned sweeps only under the same seed,
+	// which additionally must keep their own verdicts.
+	dims := []pinnedDim{
+		{name: "topo", base: baseline.TopoSweep.pins(), cur: rep.TopoSweep.pins(), exhaustive: true, comparable: true},
+		{name: "stencil", base: baseline.StencilSweep.pins(), cur: rep.StencilSweep.pins(), comparable: true},
+		{name: "noise", base: baseline.NoiseSweep.pins(), cur: rep.NoiseSweep.pins()},
+		{name: "tuned", base: baseline.TunedSweep.pins(), cur: rep.TunedSweep.pins()},
+	}
+	if n, b := rep.NoiseSweep, baseline.NoiseSweep; n != nil && b != nil {
+		dims[2].comparable = n.Seed == b.Seed
+		if !n.BitIdentical {
+			dims[2].verdicts = append(dims[2].verdicts, "noise sweep lost bit-identity across engines/world-reuse paths")
 		}
 	}
-	// The stencil dimension: virtual times are deterministic, so every
-	// point measured by both builds must match exactly. Unlike the topo
-	// sweep, the ladder is rank-count-capped in CI (-scalemax), so only
-	// the intersection is compared — but a missing sweep, or an empty
-	// intersection, is a gate failure (a silently skipped dimension
-	// would otherwise read as green).
-	if baseline.StencilSweep != nil {
-		if rep.StencilSweep == nil || len(rep.StencilSweep.Points) == 0 {
-			violations = append(violations, "stencil sweep missing (baseline has one; run with -sweep stencil)")
-		} else {
-			stencilKey := func(p StencilPoint) string {
-				return fmt.Sprintf("%s/%dB", p.Dims, p.HaloBytes)
-			}
-			current := map[string]StencilPoint{}
-			for _, p := range rep.StencilSweep.Points {
-				current[stencilKey(p)] = p
-			}
-			common := 0
-			for _, b := range baseline.StencilSweep.Points {
-				p, ok := current[stencilKey(b)]
-				if !ok {
-					continue
-				}
-				common++
-				if p.VirtualUs != b.VirtualUs {
-					violations = append(violations, fmt.Sprintf(
-						"stencil %s: virtual time moved (%.2f -> %.2f us)",
-						stencilKey(b), b.VirtualUs, p.VirtualUs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"stencil sweep shares no points with the baseline (ladder shape drifted)")
-			}
+	if tu, b := rep.TunedSweep, baseline.TunedSweep; tu != nil && b != nil {
+		dims[3].comparable = tu.Seed == b.Seed
+		if !tu.BitIdentical {
+			dims[3].verdicts = append(dims[3].verdicts, "tuned sweep lost bit-identity across engines/world-reuse paths/reruns")
+		}
+		if tu.BeatsCost < 2 {
+			dims[3].verdicts = append(dims[3].verdicts, fmt.Sprintf(
+				"measured policy beats the cost policy on %d points, want >= 2", tu.BeatsCost))
 		}
 	}
-	// The noise dimension: each point's virtual makespan is seeded and
-	// deterministic, so every point measured by both builds must match
-	// exactly, and the in-sweep cross-engine/warm/pooled agreement
-	// verdict must hold in the current build.
-	if baseline.NoiseSweep != nil {
-		if rep.NoiseSweep == nil || len(rep.NoiseSweep.Points) == 0 {
-			violations = append(violations, "noise sweep missing (baseline has one; run with -sweep noise)")
-		} else {
-			if !rep.NoiseSweep.BitIdentical {
-				violations = append(violations,
-					"noise sweep lost bit-identity across engines/world-reuse paths")
-			}
-			noiseKey := func(p NoisePoint) string {
-				return fmt.Sprintf("%s/%dB", p.Label, p.Bytes)
-			}
-			current := map[string]NoisePoint{}
-			for _, p := range rep.NoiseSweep.Points {
-				current[noiseKey(p)] = p
-			}
-			common := 0
-			for _, b := range baseline.NoiseSweep.Points {
-				p, ok := current[noiseKey(b)]
-				if !ok {
-					continue
-				}
-				common++
-				if rep.NoiseSweep.Seed == baseline.NoiseSweep.Seed && p.VirtualPs != b.VirtualPs {
-					violations = append(violations, fmt.Sprintf(
-						"noise %s: virtual time moved (%d -> %d ps)",
-						noiseKey(b), b.VirtualPs, p.VirtualPs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"noise sweep shares no points with the baseline (ladder shape drifted)")
-			}
-		}
-	}
-	// The measured-selection dimension: the warm tuning store must pin
-	// every path to one timeline, the measured policy must keep
-	// strictly beating the cost prior on the congested window, and —
-	// since every virtual time is seeded and deterministic — points
-	// measured by both builds under the same seed must match exactly.
-	if baseline.TunedSweep != nil {
-		if rep.TunedSweep == nil || len(rep.TunedSweep.Points) == 0 {
-			violations = append(violations, "tuned sweep missing (baseline has one; run with -sweep tuned)")
-		} else {
-			if !rep.TunedSweep.BitIdentical {
-				violations = append(violations,
-					"tuned sweep lost bit-identity across engines/world-reuse paths/reruns")
-			}
-			if rep.TunedSweep.BeatsCost < 2 {
-				violations = append(violations, fmt.Sprintf(
-					"measured policy beats the cost policy on %d points, want >= 2",
-					rep.TunedSweep.BeatsCost))
-			}
-			current := map[int]TunedPoint{}
-			for _, p := range rep.TunedSweep.Points {
-				current[p.Bytes] = p
-			}
-			common := 0
-			for _, b := range baseline.TunedSweep.Points {
-				p, ok := current[b.Bytes]
-				if !ok {
-					continue
-				}
-				common++
-				if rep.TunedSweep.Seed == baseline.TunedSweep.Seed && p.MeasuredPs != b.MeasuredPs {
-					violations = append(violations, fmt.Sprintf(
-						"tuned %dB: measured virtual time moved (%d -> %d ps)",
-						b.Bytes, b.MeasuredPs, p.MeasuredPs))
-				}
-			}
-			if common == 0 {
-				violations = append(violations,
-					"tuned sweep shares no points with the baseline (ladder shape drifted)")
-			}
-		}
+	for _, d := range dims {
+		violations = append(violations, d.violations()...)
 	}
 	return violations
+}
+
+// pin is one gated point of a virtual-time dimension: a stable key and
+// its exact virtual value, rendered losslessly.
+type pin struct{ key, value string }
+
+// pinnedDim is one virtual-time dimension of the gate: the baseline's
+// pins, the current build's, and how strictly they must match.
+type pinnedDim struct {
+	name      string
+	base, cur []pin // nil base: the baseline does not gate this dimension
+	// exhaustive requires every baseline pin to be present; otherwise
+	// only the intersection is compared, and it must not be empty.
+	exhaustive bool
+	// comparable is false when the builds ran under different seeds.
+	comparable bool
+	// verdicts are the current sweep's own failed invariants.
+	verdicts []string
+}
+
+// violations is the gate's one comparison over (key, exact value) pins.
+func (d pinnedDim) violations() []string {
+	if d.base == nil {
+		return nil
+	}
+	if len(d.cur) == 0 {
+		return []string{fmt.Sprintf("%s sweep missing (baseline has one; run with -sweep %s)", d.name, d.name)}
+	}
+	out := d.verdicts
+	cur := make(map[string]string, len(d.cur))
+	for _, p := range d.cur {
+		cur[p.key] = p.value
+	}
+	common := 0
+	for _, b := range d.base {
+		v, ok := cur[b.key]
+		if !ok {
+			if d.exhaustive {
+				out = append(out, fmt.Sprintf("%s %s: baseline point missing from the current sweep", d.name, b.key))
+			}
+			continue
+		}
+		common++
+		if d.comparable && v != b.value {
+			out = append(out, fmt.Sprintf("%s %s: virtual time moved (%s -> %s)", d.name, b.key, b.value, v))
+		}
+	}
+	if common == 0 && !d.exhaustive {
+		out = append(out, fmt.Sprintf("%s sweep shares no points with the baseline (ladder shape drifted)", d.name))
+	}
+	return out
+}
+
+// pinsOf renders a sweep's points as pins: never nil, so a present
+// sweep with no points still gates.
+func pinsOf[P any](points []P, pinOf func(P) pin) []pin {
+	out := make([]pin, len(points))
+	for i, p := range points {
+		out[i] = pinOf(p)
+	}
+	return out
+}
+
+// The pins methods below project a sweep onto its gated points; a nil
+// sweep has none.
+
+func (s *TopoSweepReport) pins() []pin {
+	if s == nil {
+		return nil
+	}
+	return pinsOf(s.Points, func(p TopoPoint) pin {
+		return pin{fmt.Sprintf("%s/%dx%d/%dB", p.Stack, p.Nodes, p.PPN, p.Bytes),
+			fmt.Sprintf("hier %v us, hybrid %v us", p.HierUs, p.HybridUs)}
+	})
+}
+
+func (s *StencilSweepReport) pins() []pin {
+	if s == nil {
+		return nil
+	}
+	return pinsOf(s.Points, func(p StencilPoint) pin {
+		return pin{fmt.Sprintf("%s/%dB", p.Dims, p.HaloBytes), fmt.Sprintf("%v us", p.VirtualUs)}
+	})
+}
+
+func (s *NoiseSweepReport) pins() []pin {
+	if s == nil {
+		return nil
+	}
+	return pinsOf(s.Points, func(p NoisePoint) pin {
+		return pin{fmt.Sprintf("%s/%dB", p.Label, p.Bytes), fmt.Sprintf("%d ps", p.VirtualPs)}
+	})
+}
+
+func (s *TunedSweepReport) pins() []pin {
+	if s == nil {
+		return nil
+	}
+	return pinsOf(s.Points, func(p TunedPoint) pin {
+		return pin{fmt.Sprintf("%dB", p.Bytes), fmt.Sprintf("%d ps", p.MeasuredPs)}
+	})
 }
 
 // LoadWallReport reads a previously written report.

@@ -104,9 +104,9 @@ type Config struct {
 	GroupParallelism int
 	// PerPointWorlds restores the historical construct-per-point
 	// execution (one world built and closed per ladder point,
-	// bypassing the pool). It exists for the service sweep's
-	// before/after comparison and as the referee configuration in
-	// bit-identity tests; production daemons leave it off.
+	// bypassing the pool). It exists as the reference configuration
+	// in bit-identity tests and as a baseline for measuring the pool;
+	// production daemons leave it off.
 	PerPointWorlds bool
 	// TenantQPS enables per-tenant rate limiting on the query endpoints
 	// (/v1/run, /v1/price, /v1/canon): each tenant — the X-Tenant
@@ -273,12 +273,12 @@ func (s *Server) Close() {
 	}
 }
 
-// Stats reports (cacheHits, cacheMisses, coalesced) — consumed by the
-// service-sweep bench harness and the smoke tests.
+// Stats reports (cacheHits, cacheMisses, coalesced) — consumed by
+// perfbench's service_mix workload and the tests.
 func (s *Server) Stats() (hits, misses, coalesced int64) { return s.met.snapshot() }
 
 // PoolStats snapshots the warm world pool (zero value when pooling is
-// disabled) — consumed by the service-sweep bench harness and tests.
+// disabled) — consumed by /metrics and the tests.
 func (s *Server) PoolStats() spec.PoolStats {
 	if s.exec.Pool == nil {
 		return spec.PoolStats{}

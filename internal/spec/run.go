@@ -206,9 +206,9 @@ type Exec struct {
 	Parallelism int
 	// PerPointWorlds restores the historical construct-per-point path:
 	// every ladder point builds and closes its own world, bypassing
-	// Pool. It is the referee configuration the warm paths are
-	// bit-compared against (and the baseline the service sweep's cold
-	// phase measures speedup over).
+	// Pool. It is the reference configuration the warm paths are
+	// bit-compared against, in the bit-identity tests and in the
+	// bench referee's noise and tuned sweeps.
 	PerPointWorlds bool
 	// Tuner, when non-nil, backs the measured tuning policy: queries
 	// with policy "measured" resolve selections against one snapshot
