@@ -149,6 +149,8 @@ func TestCheckAgainst(t *testing.T) {
 			[]string{"beats the cost policy on 1 points"}},
 		{"tuned/time moved under the same seed", func(r *WallReport) { r.TunedSweep.Points[0].MeasuredPs-- },
 			[]string{"tuned", "4096B", "virtual time moved"}},
+		{"tuned/cost time moved under the same seed", func(r *WallReport) { r.TunedSweep.Points[0].CostPs++ },
+			[]string{"tuned", "4096B", "virtual time moved"}},
 		{"tuned/time moved under another seed", func(r *WallReport) {
 			r.TunedSweep.Seed = 7
 			r.TunedSweep.Points[0].MeasuredPs--
@@ -197,8 +199,8 @@ func gatedBaseline() *WallReport {
 			{Label: "jitter=0.1", Bytes: 4096, VirtualPs: 1100},
 		}},
 		TunedSweep: &TunedSweepReport{Seed: 42, BitIdentical: true, BeatsCost: 2, Points: []TunedPoint{
-			{Bytes: 4096, MeasuredPs: 500},
-			{Bytes: 16384, MeasuredPs: 900},
+			{Bytes: 4096, CostPs: 600, MeasuredPs: 500},
+			{Bytes: 16384, CostPs: 1000, MeasuredPs: 900},
 		}},
 	}
 }

@@ -437,7 +437,7 @@ func (s *TunedSweepReport) pins() []pin {
 		return nil
 	}
 	return pinsOf(s.Points, func(p TunedPoint) pin {
-		return pin{fmt.Sprintf("%dB", p.Bytes), fmt.Sprintf("%d ps", p.MeasuredPs)}
+		return pin{fmt.Sprintf("%dB", p.Bytes), fmt.Sprintf("measured %d ps, cost %d ps", p.MeasuredPs, p.CostPs)}
 	})
 }
 

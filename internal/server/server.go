@@ -102,12 +102,6 @@ type Config struct {
 	// execute concurrently, each on its own world (default 4; 1 runs
 	// groups sequentially).
 	GroupParallelism int
-	// PerPointWorlds restores the historical construct-per-point
-	// execution (one world built and closed per ladder point,
-	// bypassing the pool). It exists as the reference configuration
-	// in bit-identity tests and as a baseline for measuring the pool;
-	// production daemons leave it off.
-	PerPointWorlds bool
 	// TenantQPS enables per-tenant rate limiting on the query endpoints
 	// (/v1/run, /v1/price, /v1/canon): each tenant — the X-Tenant
 	// request header, "default" when absent — gets a token bucket
@@ -233,8 +227,7 @@ func New(cfg Config) *Server {
 	s.tuner = spec.NewTuner(store)
 	s.exec.Tuner = s.tuner
 	s.exec.Parallelism = cfg.GroupParallelism
-	s.exec.PerPointWorlds = cfg.PerPointWorlds
-	if cfg.WorldPoolRanks > 0 && !cfg.PerPointWorlds {
+	if cfg.WorldPoolRanks > 0 {
 		s.exec.Pool = spec.NewWorldPool(spec.PoolConfig{
 			MaxRanks: cfg.WorldPoolRanks,
 			MaxIdle:  cfg.WorldPoolIdle,
