@@ -408,7 +408,7 @@ func (co *coordinator) poisonFusers() {
 // rounds and setup sessions on communicator contexts containing the
 // dead rank can never complete (the dead member will not arrive), so
 // they are failed — waiters wake and panic with ErrRankFailed. Runs on
-// the dying rank's goroutine (the token holder in event mode, making
+// the dying rank's goroutine (the running rank in event mode, making
 // the scheduler wakes safe). Holding fuserMu across the fuser walk
 // orders it against cell creation, exactly like the abort poison; cells
 // created after the walk are covered by fuse's under-lock dead re-check

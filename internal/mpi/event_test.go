@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -211,6 +212,44 @@ func TestEngineSwitchRerun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEventWorldRunFromTwoGoroutines drives one event world the way
+// spec.WorldPool does across server requests: consecutive Runs from
+// different goroutines, with ResetClocks between them. The rank
+// coroutines are resumed from whichever goroutine calls Run, so each
+// Run must reproduce a fresh world's clocks bit for bit. Close must
+// then stop every coroutine before it returns, without help from the
+// GC.
+func TestEventWorldRunFromTwoGoroutines(t *testing.T) {
+	topo := sim.MustUniform(2, 4)
+	want := perRankClocks(t, topo, sim.EngineEvent, mixedBody(2))
+	base := goroutinesSettled()
+	w, err := NewWorld(sim.HazelHenCray(), topo, WithEngine(sim.EngineEvent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		done := make(chan error)
+		go func() { done <- w.Run(mixedBody(2)) }()
+		if err := <-done; err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		got := make([]sim.Time, topo.Size())
+		for r := range got {
+			got[r] = w.Proc(r).Clock()
+		}
+		diffClocks(t, "event world run from another goroutine", got, want)
+		w.ResetClocks()
+	}
+	if n := runtime.NumGoroutine(); n < base+topo.Size() {
+		t.Fatalf("%d goroutines with %d ranks parked, baseline %d", n, topo.Size(), base)
+	}
+	w.Close()
+	if n := goroutinesSettled(); n > base {
+		t.Errorf("%d goroutines after Close, baseline %d: rank coroutines not stopped", n, base)
+	}
+	runtime.KeepAlive(w)
 }
 
 // TestEventEngineRunAllocationLean pins the steady-state allocation

@@ -180,7 +180,7 @@ func (w *World) Damaged() bool { return w.damaged.Load() }
 // can no longer complete, wakes collective waiters stranded in fusion
 // rounds or setup sessions on communicators containing p, and unwinds
 // the rank body with errRankKilled. Runs on the dying rank's own
-// goroutine — which in event mode is the token holder, making the
+// goroutine — which in event mode is the running rank, making the
 // scheduler wakes safe.
 func (w *World) killRank(p *Proc) {
 	w.damaged.Store(true)
@@ -331,7 +331,7 @@ func (m *matcher) killRank(w *World, rank int) {
 // published first (posts check it under the shard lock), then every
 // queued record of the context is failed with the revoked sentinel.
 // Idempotent; safe from any rank (the event engine's caller is the
-// token holder).
+// running rank).
 func (m *matcher) revokeCtx(w *World, ctx int) {
 	if _, loaded := m.revoked.LoadOrStore(ctx, struct{}{}); loaded {
 		return

@@ -26,13 +26,15 @@ func pingRing(t *testing.T, w *World) sim.Time {
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		p.Compute(1e6)
-		buf := w.NewBuf(4096)
+		// Separate buffers: a send must not read memory an outstanding
+		// receive may be written into.
+		sbuf, rbuf := w.NewBuf(4096), w.NewBuf(4096)
 		next, prev := (p.Rank()+1)%p.Size(), (p.Rank()+p.Size()-1)%p.Size()
-		rq, err := c.Irecv(buf, prev, 7)
+		rq, err := c.Irecv(rbuf, prev, 7)
 		if err != nil {
 			return err
 		}
-		if err := c.Send(buf, next, 7); err != nil {
+		if err := c.Send(sbuf, next, 7); err != nil {
 			return err
 		}
 		_, err = rq.Wait()
@@ -288,14 +290,14 @@ func TestShrinkAndAgreeRecovery(t *testing.T) {
 			}
 			sizes[p.Rank()] = nc.Size()
 			// The shrunken communicator must be usable: ring exchange.
-			buf := w.NewBuf(64)
+			sbuf, rbuf := w.NewBuf(64), w.NewBuf(64)
 			next := (nc.Rank() + 1) % nc.Size()
 			prev := (nc.Rank() + nc.Size() - 1) % nc.Size()
-			rq, err := nc.Irecv(buf, prev, 3)
+			rq, err := nc.Irecv(rbuf, prev, 3)
 			if err != nil {
 				return err
 			}
-			if err := nc.Send(buf, next, 3); err != nil {
+			if err := nc.Send(sbuf, next, 3); err != nil {
 				return err
 			}
 			_, err = rq.Wait()

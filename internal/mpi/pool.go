@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // rankPool is the persistent execution engine behind World.Run: one
 // long-lived goroutine per rank, parked on a per-rank mailbox between
@@ -17,8 +14,9 @@ import (
 // close over the pool and their mailbox only, and each dispatched job
 // carries the *Proc it runs on. A World abandoned without Close
 // therefore becomes unreachable even while its workers are parked, and
-// the finalizer installed at pool start shuts them down — explicit
-// Close is still the deterministic path the harnesses use.
+// the runtime cleanup registered at pool start (with the pool, never
+// the World, as its argument) releases them — explicit Close is still
+// the deterministic path the harnesses use.
 type rankPool struct {
 	size    int
 	jobs    chan rankJob // shared dispatch queue, buffered to size
@@ -167,8 +165,8 @@ func (rp *rankPool) shutdown() {
 	rp.workers.Wait()
 }
 
-// release is the finalizer flavor of shutdown: it signals the workers
-// but does not block the finalizer goroutine on their exit.
+// release is the cleanup flavor of shutdown: it signals the workers
+// but does not block the runtime's cleanup goroutine on their exit.
 func (rp *rankPool) release() {
 	rp.stop.Do(func() { close(rp.quit) })
 }
@@ -176,7 +174,7 @@ func (rp *rankPool) release() {
 // rankWorker is the parked worker loop. It deliberately references
 // only the job queue, the quit channel and the worker group — never the
 // World — so parked workers do not keep an abandoned World reachable.
-// Jobs and quit cannot race: Close and the finalizer only fire when no
+// Jobs and quit cannot race: Close and the cleanup only fire when no
 // Run is in flight, so a closed quit channel implies an empty queue.
 func rankWorker(jobs <-chan rankJob, quit <-chan struct{}, workers *sync.WaitGroup) {
 	defer workers.Done()
@@ -209,23 +207,4 @@ func (j rankJob) run() {
 		// hanging.
 		p.world.Abort()
 	}
-}
-
-// setWorldFinalizer installs the leak backstop once either engine has
-// goroutines: a World dropped without Close still releases its parked
-// pool workers and event-scheduler continuations on the next GC cycle.
-// The guard matters when both engines start on one world (an engine
-// switch between Runs): runtime.SetFinalizer throws on a second
-// install. Runs never overlap, so the flag needs no lock.
-func setWorldFinalizer(w *World) {
-	if w.finalizerSet {
-		return
-	}
-	w.finalizerSet = true
-	runtime.SetFinalizer(w, func(w *World) {
-		w.pool.release()
-		if w.ev != nil {
-			w.ev.release()
-		}
-	})
 }

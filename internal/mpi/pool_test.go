@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Pool lifecycle coverage: Run must reuse the parked workers instead of
@@ -178,6 +180,38 @@ func TestRepeatedRunMaxClockRace(t *testing.T) {
 		w.ResetClocks()
 		if w.MaxClock() != 0 {
 			t.Fatal("clocks not reset")
+		}
+	}
+}
+
+// TestDroppedWorldReleasesGoroutines is the leak backstop: a world that
+// ran and was then dropped without Close must give back every goroutine
+// it started, on either engine, once the GC finds it unreachable (plus
+// a reserve drain for the goroutine engine's workers). It catches any
+// reference from a parked worker or coroutine back to the World, which
+// would keep the World, and so its goroutines, alive forever.
+func TestDroppedWorldReleasesGoroutines(t *testing.T) {
+	for _, e := range []sim.Engine{sim.EngineGoroutine, sim.EngineEvent} {
+		DrainIdleWorkers()
+		base := goroutinesSettled()
+		func() {
+			w, err := NewWorld(sim.HazelHenCray(), sim.MustUniform(4, 16), WithEngine(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(mixedBody(1)); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("engine %v: %d goroutines after dropping a 64-rank world, baseline %d",
+					e, runtime.NumGoroutine(), base)
+			}
+			runtime.GC()
+			DrainIdleWorkers()
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 }

@@ -49,15 +49,17 @@ type World struct {
 	// per-Run dispatch record, and the Run gate that enforces the
 	// one-Run-at-a-time / no-clock-reads-during-Run contract. evLive is
 	// set only while an event-engine Run is in flight; the park sites
-	// (request.go, sched.go, coord.go) branch on it.
-	engine       sim.Engine
-	ev           *evSched
-	evLive       bool
-	pool         *rankPool
-	run          runState
-	running      atomic.Bool
-	closed       atomic.Bool
-	finalizerSet bool // leak-backstop finalizer installed (see pool.go)
+	// (request.go, sched.go, coord.go) branch on it. The cleanups stop
+	// each engine of a World dropped without Close (see Close).
+	engine      sim.Engine
+	ev          *evSched
+	evLive      bool
+	pool        *rankPool
+	run         runState
+	running     atomic.Bool
+	closed      atomic.Bool
+	poolCleanup runtime.Cleanup
+	evCleanup   runtime.Cleanup
 
 	// Rank-symmetry folding (fold.go): with foldUnit u > 0 only ranks
 	// 0..u-1 execute; every rank r aliases the Proc of its class
@@ -348,18 +350,16 @@ func (w *World) Run(body func(p *Proc) error) error {
 	}
 	if w.engine == sim.EngineEvent {
 		if w.ev == nil {
-			w.ev = newEvSched(w, w.execN)
-			setWorldFinalizer(w)
+			w.ev = newEvSched(w.execN)
+			w.evCleanup = runtime.AddCleanup(w, (*evSched).shutdown, w.ev)
 		}
 		w.evLive = true
-		w.ev.begin(st)
-		w.ev.dispatchNext()
-		<-w.ev.ctrl
+		w.ev.run(w)
 		w.evLive = false
 	} else {
 		if !w.pool.started {
 			w.pool.start()
-			setWorldFinalizer(w)
+			w.poolCleanup = runtime.AddCleanup(w, (*rankPool).release, w.pool)
 		}
 		st.wg.Add(w.execN)
 		for r := 0; r < w.execN; r++ {
@@ -413,28 +413,36 @@ func recoveredRankError(p *Proc, rec any) error {
 	}
 }
 
-// Close shuts the rank pool down: parked workers wake up and exit, and
-// later Run calls fail with ErrClosed. Close is idempotent and safe on
-// a world that never ran; it must not be called while a Run is in
-// flight. Worlds the harnesses churn through (one per measured
-// operation) should be closed so their parked goroutines are released
-// deterministically; a world dropped without Close is cleaned up by a
-// GC finalizer instead.
+// Close shuts both engines down: parked pool workers wake up and exit
+// (or return to the cross-world reserve), every event-engine coroutine
+// is stopped before Close returns, and later Run calls fail with
+// ErrClosed. Close is idempotent and safe on a world that never ran;
+// it must not be called while a Run is in flight. Worlds the harnesses
+// churn through (one per measured operation) should be closed so their
+// goroutines are released deterministically. A world dropped without
+// Close releases them through a runtime cleanup (runtime.AddCleanup)
+// once the GC finds it unreachable; the cleanup's arguments, the rank
+// pool and the event scheduler, never reference the World between
+// Runs, so they do not keep it alive. Close cancels those cleanups:
+// left pending, they keep each closed world's engine reachable until
+// the runtime runs them, which on worlds churned one per query more
+// than doubled the GC's mark time.
 func (w *World) Close() {
 	if w.running.Load() {
 		panic("mpi: Close during Run")
 	}
 	if w.closed.CompareAndSwap(false, true) {
 		w.pool.shutdown()
+		w.poolCleanup.Stop()
 		if w.ev != nil {
 			w.ev.shutdown()
+			w.evCleanup.Stop()
 		}
 		if !w.Aborted() {
 			// All fusions completed, so the trees' channels are empty
 			// and the trees can serve the next same-shape world.
 			w.coord.releaseTrees()
 		}
-		runtime.SetFinalizer(w, nil)
 	}
 }
 
